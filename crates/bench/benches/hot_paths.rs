@@ -6,7 +6,8 @@ use std::hint::black_box;
 
 use dcn_bench::bench;
 use dcn_net::{
-    ClosConfig, FlowId, NodeId, Packet, PortId, Priority, RoutingTable, Topology, TrafficClass,
+    ClosConfig, FatTreeConfig, FlowId, NodeId, Packet, PortId, Priority, RoutingTable, Topology,
+    TrafficClass,
 };
 use dcn_sim::{BitRate, Bytes, EventQueue, SimTime};
 use dcn_switch::{
@@ -207,6 +208,20 @@ fn bench_routing() {
         black_box(routes.next_port(tor, hosts[64], FlowId::new(i)))
     });
     bench("routing/build_paper_clos_tables", || {
+        black_box(RoutingTable::shortest_paths(&topo))
+    });
+
+    // The 1024-host k=16 fat-tree: 128 attachment nodes, 1344 nodes.
+    let topo = Topology::fat_tree(&FatTreeConfig::new(16));
+    let routes = RoutingTable::shortest_paths(&topo);
+    let hosts: Vec<NodeId> = topo.hosts().collect();
+    let edge = topo.host_uplink_switch(hosts[0]).expect("host has uplink");
+    let mut i = 0u64;
+    bench("routing/ecmp_next_port_fat_tree_k16", || {
+        i += 1;
+        black_box(routes.next_port(edge, hosts[1000], FlowId::new(i)))
+    });
+    bench("routing/build_fat_tree_k16_tables", || {
         black_box(RoutingTable::shortest_paths(&topo))
     });
 }

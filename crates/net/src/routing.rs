@@ -1,17 +1,51 @@
 //! All-shortest-path routing with per-flow ECMP.
 //!
-//! For every (switch, destination host) pair we precompute the set of
+//! For every (node, destination host) pair we precompute the set of
 //! output ports that lie on some shortest path (by hop count, breaking
 //! distance ties by keeping all minimal next hops). At forwarding time a
 //! flow hashes onto one of the candidates so that all its packets follow
 //! one path — standard per-flow ECMP, which is what the paper's ns-3
 //! setup uses.
+//!
+//! # Layout
+//!
+//! Every host is single-homed (one port, asserted at build time), so at
+//! any node other than the host and its *attachment node* — the peer of
+//! that one port — the next hops toward the host are exactly the next hops
+//! toward its attachment node. The table is therefore built with one BFS
+//! per distinct attachment node (one per ToR, not one per host) and
+//! stored as:
+//!
+//! * `hop`: a flat `u32` matrix, `hop[node * columns + column]`, where
+//!   `column` is the dense index of the destination's attachment node.
+//!   Each entry names an interned candidate set.
+//! * `sets` / `pool`: every distinct candidate list (a list of node-local
+//!   port indices, in ascending port order) stored once as a `(start,
+//!   end)` range into one shared `pool`. A fabric has only a handful of
+//!   distinct lists; set 0 is the empty set, used for unreachable pairs.
+//! * `dests`: per node, `Some` for hosts: the attachment node, its column
+//!   and the attachment node's own port facing the host (the last hop).
+//!
+//! The table takes O(nodes × attachment nodes) `u32`s plus the pool,
+//! about 0.7 MiB on the 1024-host k = 16 fat-tree.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::ids::{FlowId, NodeId, PortId};
 use crate::link::Link;
 use crate::topology::{NodeKind, Topology};
+
+/// Routing facts about one destination host.
+#[derive(Debug, Clone, Copy)]
+struct Dest {
+    /// The peer of the host's single port.
+    attach: NodeId,
+    /// Dense index of `attach` among the distinct attachment nodes: the
+    /// column of `hop` to read.
+    column: u32,
+    /// The port at `attach` that faces the host.
+    last_hop: PortId,
+}
 
 /// Precomputed next-hop sets: for each node and destination host, the
 /// output ports on shortest paths.
@@ -25,10 +59,16 @@ use crate::topology::{NodeKind, Topology};
 /// restores the exact pre-failure selection for every flow.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    /// `ports[node][dst_host_rank]` = candidate output ports.
-    ports: Vec<Vec<Vec<PortId>>>,
-    /// Maps host NodeId -> dense rank used to index `ports`.
-    host_rank: Vec<Option<usize>>,
+    /// Per node id: `Some` iff the node is a host.
+    dests: Vec<Option<Dest>>,
+    /// Number of distinct attachment nodes (the row width of `hop`).
+    columns: usize,
+    /// `hop[node * columns + column]` = index into `sets`.
+    hop: Vec<u32>,
+    /// Interned candidate sets as `(start, end)` ranges into `pool`.
+    sets: Vec<(u32, u32)>,
+    /// Backing storage of every interned candidate set.
+    pool: Vec<PortId>,
     /// ECMP hash salt (per-topology constant; change to re-roll paths).
     salt: u64,
     /// Ports whose link is currently down. Empty in a healthy fabric,
@@ -39,23 +79,55 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Builds shortest-path next-hop sets for every destination host by
-    /// BFS from each host over the topology.
+    /// one BFS from each distinct host attachment node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a host does not have exactly one port: the table relies
+    /// on every host being single-homed.
     pub fn shortest_paths(topo: &Topology) -> RoutingTable {
         let n = topo.node_count();
-        let hosts: Vec<NodeId> = topo.hosts().collect();
-        let mut host_rank = vec![None; n];
-        for (rank, h) in hosts.iter().enumerate() {
-            host_rank[h.index()] = Some(rank);
+        let mut dests: Vec<Option<Dest>> = vec![None; n];
+        let mut attachments: Vec<NodeId> = Vec::new();
+        let mut column_of: Vec<Option<u32>> = vec![None; n];
+        for host in topo.hosts() {
+            let ports = &topo.node(host).ports;
+            assert!(
+                ports.len() == 1,
+                "host {host:?} has {} ports; routing requires every host to be single-homed",
+                ports.len()
+            );
+            let end = topo
+                .link(ports[0])
+                .peer_of(host)
+                .expect("a host's link touches the host");
+            let column = *column_of[end.node.index()].get_or_insert_with(|| {
+                attachments.push(end.node);
+                (attachments.len() - 1) as u32
+            });
+            dests[host.index()] = Some(Dest {
+                attach: end.node,
+                column,
+                last_hop: end.port,
+            });
         }
-        let mut ports = vec![vec![Vec::new(); hosts.len()]; n];
 
-        for (rank, &dst) in hosts.iter().enumerate() {
+        let columns = attachments.len();
+        let mut hop = vec![0u32; n * columns];
+        let mut sets = vec![(0u32, 0u32)];
+        let mut pool: Vec<PortId> = Vec::new();
+        let mut interned: HashMap<Vec<PortId>, u32> = HashMap::new();
+        interned.insert(Vec::new(), 0);
+
+        let mut dist = vec![u32::MAX; n];
+        let mut queue = VecDeque::with_capacity(n);
+        let mut next: Vec<PortId> = Vec::new();
+        for (column, &dst) in attachments.iter().enumerate() {
             // BFS from dst; dist[v] = hops from v to dst.
-            let mut dist = vec![u32::MAX; n];
+            dist.fill(u32::MAX);
             dist[dst.index()] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(dst);
-            while let Some(v) = q.pop_front() {
+            queue.push_back(dst);
+            while let Some(v) = queue.pop_front() {
                 let dv = dist[v.index()];
                 for &lid in &topo.node(v).ports {
                     let Ok(end) = topo.link(lid).peer_of(v) else {
@@ -64,31 +136,47 @@ impl RoutingTable {
                     let peer = end.node;
                     if dist[peer.index()] == u32::MAX {
                         dist[peer.index()] = dv + 1;
-                        q.push_back(peer);
+                        queue.push_back(peer);
                     }
                 }
             }
             // Next hops: every port whose peer is strictly closer to dst.
             for node in topo.nodes() {
-                if dist[node.id.index()] == u32::MAX || node.id == dst {
+                let dn = dist[node.id.index()];
+                if dn == u32::MAX || node.id == dst {
                     continue;
                 }
-                let dn = dist[node.id.index()];
+                next.clear();
                 for (pix, &lid) in node.ports.iter().enumerate() {
                     let Ok(end) = topo.link(lid).peer_of(node.id) else {
                         continue;
                     };
                     let peer = end.node;
                     if dist[peer.index()] != u32::MAX && dist[peer.index()] + 1 == dn {
-                        ports[node.id.index()][rank].push(PortId::new(pix as u16));
+                        next.push(PortId::new(pix as u16));
                     }
                 }
+                let set = match interned.get(next.as_slice()) {
+                    Some(&set) => set,
+                    None => {
+                        let start = pool.len() as u32;
+                        pool.extend_from_slice(&next);
+                        sets.push((start, pool.len() as u32));
+                        let set = (sets.len() - 1) as u32;
+                        interned.insert(next.clone(), set);
+                        set
+                    }
+                };
+                hop[node.id.index() * columns + column] = set;
             }
         }
 
         RoutingTable {
-            ports,
-            host_rank,
+            dests,
+            columns,
+            hop,
+            sets,
+            pool,
             salt: 0x005E_ED0F_ECA7,
             down: HashSet::new(),
         }
@@ -113,13 +201,22 @@ impl RoutingTable {
         self.down.contains(&(node, port))
     }
 
-    /// All candidate output ports at `node` toward `dst`, or an empty
-    /// slice if unreachable / `dst` is not a host.
+    /// All candidate output ports at `node` toward `dst`, in ascending
+    /// port order, or an empty slice if unreachable / `dst` is not a host
+    /// / `node` is `dst`.
     pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[PortId] {
-        match self.host_rank.get(dst.index()).copied().flatten() {
-            Some(rank) => &self.ports[node.index()][rank],
-            None => &[],
+        let Some(Some(d)) = self.dests.get(dst.index()) else {
+            return &[];
+        };
+        if node == dst {
+            return &[];
         }
+        if node == d.attach {
+            return std::slice::from_ref(&d.last_hop);
+        }
+        let (start, end) =
+            self.sets[self.hop[node.index() * self.columns + d.column as usize] as usize];
+        &self.pool[start as usize..end as usize]
     }
 
     /// The ECMP-selected output port for `flow` at `node` toward `dst`,
@@ -141,15 +238,17 @@ impl RoutingTable {
         if self.down.is_empty() || !self.down.contains(&(node, primary)) {
             return Some(primary);
         }
-        let live: Vec<PortId> = c
-            .iter()
-            .copied()
-            .filter(|&p| !self.down.contains(&(node, p)))
-            .collect();
-        if live.is_empty() {
+        // Re-hash onto the live subset without materialising it: count
+        // the live ports, then take the `(h % live)`-th one.
+        let is_live = |p: &&PortId| !self.down.contains(&(node, **p));
+        let live = c.iter().filter(is_live).count();
+        if live == 0 {
             return None;
         }
-        Some(live[(h % live.len() as u64) as usize])
+        c.iter()
+            .filter(is_live)
+            .nth((h % live as u64) as usize)
+            .copied()
     }
 
     /// Hop count from `node` to `dst` following shortest paths, or `None`
@@ -175,8 +274,173 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::ClosConfig;
+    use crate::topology::{ClosConfig, FatTreeConfig};
     use dcn_sim::{BitRate, SimDuration};
+
+    /// The straightforward table the interned one must reproduce: one BFS
+    /// per destination host and one port list per (node, host) pair.
+    struct Reference {
+        /// `ports[node][dst_host_rank]` = candidate output ports.
+        ports: Vec<Vec<Vec<PortId>>>,
+        /// Maps host NodeId -> dense rank used to index `ports`.
+        host_rank: Vec<Option<usize>>,
+    }
+
+    impl Reference {
+        fn build(topo: &Topology) -> Reference {
+            let n = topo.node_count();
+            let hosts: Vec<NodeId> = topo.hosts().collect();
+            let mut host_rank = vec![None; n];
+            for (rank, h) in hosts.iter().enumerate() {
+                host_rank[h.index()] = Some(rank);
+            }
+            let mut ports = vec![vec![Vec::new(); hosts.len()]; n];
+            for (rank, &dst) in hosts.iter().enumerate() {
+                let mut dist = vec![u32::MAX; n];
+                dist[dst.index()] = 0;
+                let mut q = VecDeque::new();
+                q.push_back(dst);
+                while let Some(v) = q.pop_front() {
+                    let dv = dist[v.index()];
+                    for &lid in &topo.node(v).ports {
+                        let peer = topo.link(lid).peer_of(v).unwrap().node;
+                        if dist[peer.index()] == u32::MAX {
+                            dist[peer.index()] = dv + 1;
+                            q.push_back(peer);
+                        }
+                    }
+                }
+                for node in topo.nodes() {
+                    if dist[node.id.index()] == u32::MAX || node.id == dst {
+                        continue;
+                    }
+                    let dn = dist[node.id.index()];
+                    for (pix, &lid) in node.ports.iter().enumerate() {
+                        let peer = topo.link(lid).peer_of(node.id).unwrap().node;
+                        if dist[peer.index()] != u32::MAX && dist[peer.index()] + 1 == dn {
+                            ports[node.id.index()][rank].push(PortId::new(pix as u16));
+                        }
+                    }
+                }
+            }
+            Reference { ports, host_rank }
+        }
+
+        fn candidates(&self, node: NodeId, dst: NodeId) -> &[PortId] {
+            match self.host_rank.get(dst.index()).copied().flatten() {
+                Some(rank) => &self.ports[node.index()][rank],
+                None => &[],
+            }
+        }
+
+        /// ECMP selection that collects the live subset into a `Vec` when
+        /// the hashed port is down, using `table`'s salt and failed ports.
+        fn next_port(
+            &self,
+            table: &RoutingTable,
+            node: NodeId,
+            dst: NodeId,
+            flow: FlowId,
+        ) -> Option<PortId> {
+            let c = self.candidates(node, dst);
+            if c.is_empty() {
+                return None;
+            }
+            let h = flow.ecmp_hash(table.salt ^ (node.index() as u64) << 17);
+            let primary = c[(h % c.len() as u64) as usize];
+            if !table.is_port_down(node, primary) {
+                return Some(primary);
+            }
+            let live: Vec<PortId> = c
+                .iter()
+                .copied()
+                .filter(|&p| !table.is_port_down(node, p))
+                .collect();
+            if live.is_empty() {
+                return None;
+            }
+            Some(live[(h % live.len() as u64) as usize])
+        }
+    }
+
+    fn oracle_topologies() -> Vec<(&'static str, Topology)> {
+        let rate = BitRate::from_gbps(25);
+        let prop = SimDuration::from_micros(1);
+        vec![
+            ("paper clos", Topology::clos(&ClosConfig::paper())),
+            ("clos small(4)", Topology::clos(&ClosConfig::small(4))),
+            ("clos small(8)", Topology::clos(&ClosConfig::small(8))),
+            ("fat-tree k=4", Topology::fat_tree(&FatTreeConfig::new(4))),
+            ("fat-tree k=8", Topology::fat_tree(&FatTreeConfig::new(8))),
+            (
+                "dumbbell",
+                Topology::dumbbell(3, 2, rate, BitRate::from_gbps(10), prop),
+            ),
+            ("single switch", Topology::single_switch(5, rate, prop)),
+        ]
+    }
+
+    /// Asserts `table` selects the same port as `reference` for 256 flows
+    /// on every (node, host) pair with a choice to make.
+    fn assert_same_selection(
+        name: &str,
+        t: &Topology,
+        table: &RoutingTable,
+        reference: &Reference,
+    ) {
+        for node in t.nodes() {
+            for dst in t.hosts() {
+                if reference.candidates(node.id, dst).is_empty() {
+                    continue;
+                }
+                for f in 0..256 {
+                    let flow = FlowId::new(f);
+                    assert_eq!(
+                        table.next_port(node.id, dst, flow),
+                        reference.next_port(table, node.id, dst, flow),
+                        "{name}: next_port at {:?} toward {dst:?} for {flow:?}",
+                        node.id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interned_table_matches_per_host_bfs_oracle() {
+        for (name, t) in oracle_topologies() {
+            let mut table = RoutingTable::shortest_paths(&t);
+            let reference = Reference::build(&t);
+            for node in t.nodes() {
+                for dst in t.hosts() {
+                    assert_eq!(
+                        table.candidates(node.id, dst),
+                        reference.candidates(node.id, dst),
+                        "{name}: candidates at {:?} toward {dst:?}",
+                        node.id
+                    );
+                }
+            }
+
+            // Fail one ToR uplink (the host link on a lone switch), then
+            // restore it; selection must track the reference throughout.
+            let host0 = t.hosts().next().unwrap();
+            let tor = t.host_uplink_switch(host0).unwrap();
+            let ports = &t.node(tor).ports;
+            let victim = ports
+                .iter()
+                .find(|&&lid| {
+                    let peer = t.link(lid).peer_of(tor).unwrap().node;
+                    t.node(peer).kind == NodeKind::Switch
+                })
+                .unwrap_or(&ports[0]);
+            let link = *t.link(*victim);
+            table.fail_link(&link);
+            assert_same_selection(name, &t, &table, &reference);
+            table.restore_link(&link);
+            assert_same_selection(name, &t, &table, &reference);
+        }
+    }
 
     fn paper() -> (Topology, RoutingTable) {
         let t = Topology::clos(&ClosConfig::paper());

@@ -478,6 +478,27 @@ mod tests {
     }
 
     #[test]
+    fn every_builder_makes_hosts_single_homed() {
+        // Routing's one-BFS-per-attachment-node table relies on this.
+        let rate = BitRate::from_gbps(25);
+        let prop = SimDuration::from_micros(1);
+        let topologies = [
+            Topology::clos(&ClosConfig::paper()),
+            Topology::clos(&ClosConfig::small(4)),
+            Topology::fat_tree(&FatTreeConfig::new(4)),
+            Topology::fat_tree(&FatTreeConfig::new(16)),
+            Topology::dumbbell(3, 2, rate, BitRate::from_gbps(10), prop),
+            Topology::single_switch(5, rate, prop),
+        ];
+        for t in &topologies {
+            for h in t.hosts() {
+                assert_eq!(t.node(h).port_count(), 1, "host {h:?}");
+                assert!(t.host_uplink_switch(h).is_some(), "host {h:?}");
+            }
+        }
+    }
+
+    #[test]
     fn fat_tree_shape() {
         let cfg = FatTreeConfig::new(4);
         let t = Topology::fat_tree(&cfg);
