@@ -49,7 +49,7 @@ use std::process::ExitCode;
 
 use dcn_experiments::{
     ablations_opts, chaos, fig10_with, fig11_with, fig3a_with, fig3b_with, fig7_with, fig8_with,
-    fig9_with, irn_grid, irn_resilience, standard_variants, table2_with, tournament,
+    fig9_with, goldens, irn_grid, irn_resilience, standard_variants, table2_with, tournament,
     ExperimentScale, SweepOptions, CHAOS_CHECK_SEEDS, FIG11_FANOUTS, TABLE2_LOADS,
 };
 use dcn_sim::SimDuration;
@@ -62,12 +62,6 @@ fn usage() -> ExitCode {
     );
     ExitCode::FAILURE
 }
-
-/// Golden digest of the tiny-scale IRN universe cell (L2BM policy,
-/// zero faults) asserted by `repro irn --check`: pins the IRN
-/// transport's behavior the same way the DCQCN goldens pin the
-/// lossless path.
-const IRN_TINY_GOLDEN_DIGEST: u64 = 0xa67c_8a7f_b276_895c;
 
 /// CI lossy-RDMA gate: the healthy six-policy × two-transport grid and
 /// the 8-fault-seed DCQCN↔IRN comparison at tiny scale, run at
@@ -98,11 +92,10 @@ fn irn_check() -> ExitCode {
         .iter()
         .find(|p| p.label == "L2BM" && p.transport == "IRN")
     {
-        if p.digest != IRN_TINY_GOLDEN_DIGEST {
-            eprintln!(
-                "FAIL: tiny IRN golden digest drifted: {:#x} != {IRN_TINY_GOLDEN_DIGEST:#x}",
-                p.digest
-            );
+        // The tiny-scale IRN cell pins the IRN transport's behavior the
+        // same way the DCQCN goldens pin the lossless path.
+        if let Err(e) = goldens::IRN_TINY.verify(p.events, p.digest, p.behavior_digest) {
+            eprintln!("FAIL: tiny IRN golden drifted: {e}");
             failed = true;
         }
     }

@@ -82,6 +82,10 @@ pub struct IrnPoint {
     pub fault_seed: Option<u64>,
     /// Full-run digest (compared across `--jobs` values).
     pub digest: u64,
+    /// Events dispatched to the model.
+    pub events: u64,
+    /// Behavior-only digest (the full digest minus the event count).
+    pub behavior_digest: u64,
     /// Registered flows.
     pub total_flows: usize,
     /// Flows completed before the deadline.
@@ -284,6 +288,8 @@ pub fn run_irn_cell(cfg: &IrnCellConfig) -> IrnPoint {
         transport: cfg.transport.label(),
         fault_seed: cfg.fault_seed,
         digest: r.digest(),
+        events: r.events_processed,
+        behavior_digest: r.behavior_digest(),
         total_flows: flows.len(),
         completed: completed.len(),
         unfinished_ids,

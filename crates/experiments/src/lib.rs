@@ -32,6 +32,7 @@ mod ablations;
 mod chaos;
 mod engine;
 mod figures;
+pub mod goldens;
 mod hybrid;
 mod incast;
 mod irn;

@@ -90,7 +90,6 @@ struct ShardPiece {
     unfinished: usize,
     normal_events: u64,
     replicated_events: u64,
-    ghost_credits: u64,
     queue: QueueStats,
     stats: ShardStats,
 }
@@ -192,7 +191,6 @@ impl ShardedFabricSim {
                 );
             }
         }
-        let ambiguous_before = ambiguous_comparisons();
         let shared = Shared {
             barrier: SpinBarrier::new(shards),
             mailboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -216,13 +214,12 @@ impl ShardedFabricSim {
                 .map(|h| h.join().expect("shard thread panicked"))
                 .collect()
         });
+        // The ambiguity counter is per thread: each shard recorded its
+        // own, and the merge's FCT sort on this thread goes to shard 0.
+        let ambiguous_before = ambiguous_comparisons();
         let mut r = merge_pieces(pieces);
-        // Stamp-comparison ambiguity is a process-global counter; the
-        // whole run's delta is attributed to shard 0's entry. (Other
-        // concurrently running simulations in the same process can
-        // inflate it — it is a diagnostic, not part of any digest.)
         if let Some(first) = r.shards.first_mut() {
-            first.stamp_ambiguities = ambiguous_comparisons() - ambiguous_before;
+            first.stamp_ambiguities += ambiguous_comparisons() - ambiguous_before;
         }
         let done = r.unfinished_flows == 0;
         self.results = Some(r);
@@ -250,6 +247,7 @@ fn run_shard(
     shared: &Shared,
     deadline: SimTime,
 ) -> ShardPiece {
+    let ambiguous_before = ambiguous_comparisons();
     let shards = part.shards();
     let total_flows = specs.len();
     let mut world = World::new_sharded(topo.clone(), cfg.clone(), part.clone(), shard);
@@ -297,7 +295,6 @@ fn run_shard(
 
     let mut normal_events: u64 = 0;
     let mut replicated_events: u64 = 0;
-    let mut ghost_credits: u64 = 0;
 
     let mut w_start = SimTime::ZERO;
     let mut done = false;
@@ -443,9 +440,6 @@ fn run_shard(
         pops.clear();
         deltas.clear();
         done_keys.clear();
-        // Timers cancelled with fire times inside the window are pops
-        // the serial engine's lazy ghost absorption has counted by now.
-        ghost_credits += q.fold_stamped_ghosts_before(w_end);
 
         if w_end >= deadline {
             // Deadline exit. Pending handoffs fire at ≥ deadline — the
@@ -529,23 +523,6 @@ fn run_shard(
         while fct_keep > 0 && !keep(&fct_keys[fct_keep - 1]) {
             fct_keep -= 1;
         }
-        // Ghosts the serial run absorbed before stopping: every logged
-        // cancellation strictly before the stop key.
-        let tail = match &stop_key {
-            Some(sk) => q
-                .stamped_ghosts()
-                .filter(|&(at, stamp)| StampKey { at, stamp }.order(sk) == Ordering::Less)
-                .count() as u64,
-            None => 0,
-        };
-        q.add_ghost_pops(tail);
-        ghost_credits += tail;
-    } else {
-        // Deadline or drained exit: the serial engine absorbs every
-        // remaining ghost before the deadline.
-        let tail = q.stamped_ghosts().filter(|&(at, _)| at < deadline).count() as u64;
-        q.add_ghost_pops(tail);
-        ghost_credits += tail;
     }
     world.drop_last_occupancy(dropped_samples);
 
@@ -582,6 +559,7 @@ fn run_shard(
         .zip(world.fct_records().iter().take(fct_keep).copied())
         .collect();
     stats.events_processed = q.stats().processed;
+    stats.stamp_ambiguities = ambiguous_comparisons() - ambiguous_before;
 
     ShardPiece {
         unfinished: world.counting_flows() - world.done_flows(),
@@ -590,7 +568,6 @@ fn run_shard(
         irn,
         normal_events,
         replicated_events,
-        ghost_credits,
         queue: q.stats(),
         stats,
     }
@@ -612,15 +589,14 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
 
     // Events: each normal pop happened in exactly one shard; replicated
     // pops happened in all of them identically (asserted) and count
-    // once; ghost credits are per-timer and every timer is armed in
-    // exactly one shard.
+    // once.
     let replicated = pieces[0].replicated_events;
     for p in &pieces {
         assert_eq!(
             p.replicated_events, replicated,
             "replicated event schedules diverged across shards"
         );
-        r.events_processed += p.normal_events + p.ghost_credits;
+        r.events_processed += p.normal_events;
     }
     r.events_processed += replicated;
 
@@ -658,7 +634,6 @@ fn merge_pieces(pieces: Vec<ShardPiece>) -> RunResults {
         r.queue.past_clamps += p.queue.past_clamps;
         r.queue.timers_pending += p.queue.timers_pending;
         r.queue.timer_cancels += p.queue.timer_cancels;
-        r.queue.ghost_pops += p.queue.ghost_pops;
         r.queue.stale_timer_pops += p.queue.stale_timer_pops;
         r.shards.push(p.stats);
     }

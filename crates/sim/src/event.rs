@@ -27,13 +27,11 @@
 //! returns the global minimum. Timer arms consume insertion sequence
 //! numbers exactly where the tombstoning engine scheduled replacement
 //! events, so the dispatch stream is byte-identical to the old engine's
-//! (golden digests included) — see DESIGN.md §4.8.
+//! (golden behavior digests included) — see DESIGN.md §4.8.
 //!
-//! Cancelled timers leave a *ghost* — their `(time, seq)` key — which is
-//! lazily absorbed when dispatch passes that key. Ghost pops are exactly
-//! the pops the tombstoning engine spent on dead entries, so
-//! `processed + ghost_pops` reproduces the legacy `events_processed`
-//! count that the result digests pin.
+//! A cancelled timer leaves nothing behind: its wheel node is unlinked
+//! and its payload reclaimed, and [`EventQueue::processed`] counts live
+//! dispatches only.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -114,9 +112,7 @@ struct GroupMember {
 /// stamp in a side table, [`EventQueue::begin_group`] gathers all events
 /// at the earliest pending time, and the caller dispatches them in stamp
 /// order — an order every shard of a partitioned run computes
-/// identically. Cancelled timers log `(time, stamp)` ghosts instead of
-/// `(time, seq)` ones, since the executor settles ghost accounting at
-/// window barriers rather than at dispatch.
+/// identically.
 #[derive(Debug)]
 struct StampState {
     /// Stamp of each pending payload, indexed by slab slot.
@@ -132,17 +128,6 @@ struct StampState {
     /// Whether any group member has been dispatched yet: admissions
     /// before that are setup roots, after it children of `current`.
     dispatching: bool,
-    /// Min-heap of cancelled-timer fire times (`(time, slot)` into
-    /// `ghost_stamps`), folded into `ghost_pops` by the executor at
-    /// window barriers. A heap keyed by fire time makes each fold
-    /// O(folded · log live) — a paper-scale run crosses tens of
-    /// thousands of windows while RTO-style timers keep a large pool of
-    /// far-future ghosts alive, so a scan-the-log fold is quadratic.
-    ghost_due: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Stamps of unfolded ghosts, slab-indexed by `ghost_due` entries.
-    ghost_stamps: Vec<Stamp>,
-    /// Free slots in `ghost_stamps`.
-    ghost_free: Vec<u32>,
     /// The gathered simultaneous group currently being dispatched.
     group: Vec<GroupMember>,
     /// Gathered-but-undispatched heap members (kept so `len()` stays
@@ -179,9 +164,10 @@ pub struct QueueStats {
     /// Timers cancelled or re-armed before firing. Each one the
     /// tombstoning engine would have left to rot in the heap.
     pub timer_cancels: u64,
-    /// Cancelled-timer keys lazily absorbed at dispatch: exactly the
-    /// pops the tombstoning engine spent discarding dead entries, kept
-    /// so `processed + ghost_pops` matches its `events_processed`.
+    /// Always zero. Cancelled timers once left "ghost" keys that were
+    /// counted here to reproduce the tombstoning engine's pop count;
+    /// cancellation now keeps nothing. The field stays because external
+    /// reports read it.
     pub ghost_pops: u64,
     /// Timer events dispatched to the model after their handle was
     /// cancelled. Structurally zero with the wheel (cancellation removes
@@ -214,16 +200,12 @@ pub struct EventQueue<E> {
     /// Live entries in `due` (cancel-after-staging leaves stale heap
     /// entries that are skipped, not removed).
     due_live: usize,
-    /// `(time, seq)` keys of cancelled timers, absorbed lazily as
-    /// dispatch passes them. See [`QueueStats::ghost_pops`].
-    ghosts: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Stamp-mode state; `None` (and untouched) on serial runs.
     stamp: Option<Box<StampState>>,
     /// Next insertion sequence number (the FIFO tie-break).
     seq: u32,
     now: SimTime,
     processed: u64,
-    ghost_pops: u64,
     timer_cancels: u64,
     stale_timer_pops: u64,
     past_clamps: u64,
@@ -246,12 +228,10 @@ impl<E> EventQueue<E> {
             wheel: Wheel::new(),
             due: BinaryHeap::new(),
             due_live: 0,
-            ghosts: BinaryHeap::new(),
             stamp: None,
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            ghost_pops: 0,
             timer_cancels: 0,
             stale_timer_pops: 0,
             past_clamps: 0,
@@ -374,39 +354,19 @@ impl<E> EventQueue<E> {
     /// Cancels an armed timer in O(1), returning its payload. `None` if
     /// the handle is stale (the timer already fired or was cancelled).
     ///
-    /// The cancelled deadline's `(time, seq)` key is kept as a ghost and
-    /// absorbed when dispatch passes it, reproducing the pop the
-    /// tombstoning engine would have spent on the dead entry.
+    /// The wheel node is unlinked and the payload reclaimed; nothing of
+    /// the cancelled timer stays behind.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> Option<E> {
-        let (at, ord) = match self.wheel.cancel(handle) {
+        let ord = match self.wheel.cancel(handle) {
             Cancelled::Invalid => return None,
-            Cancelled::Filed { at, ord } => (at, ord),
-            Cancelled::Staged { at, ord } => {
+            Cancelled::Filed { ord } => ord,
+            Cancelled::Staged { ord } => {
                 self.due_live -= 1;
-                (at, ord)
+                ord
             }
         };
         self.timer_cancels += 1;
-        let slot = (ord & u64::from(u32::MAX)) as u32;
-        if let Some(st) = self.stamp.as_deref_mut() {
-            // Stamp mode: the executor folds ghosts at window barriers
-            // keyed by stamp, not lazily at dispatch keyed by seq.
-            let stamp = st.stamps[slot as usize];
-            let gslot = match st.ghost_free.pop() {
-                Some(g) => {
-                    st.ghost_stamps[g as usize] = stamp;
-                    g
-                }
-                None => {
-                    st.ghost_stamps.push(stamp);
-                    (st.ghost_stamps.len() - 1) as u32
-                }
-            };
-            st.ghost_due.push(Reverse((at, gslot)));
-        } else {
-            self.ghosts.push(Reverse((at, ord)));
-        }
-        Some(self.slab.take(slot))
+        Some(self.slab.take((ord & u64::from(u32::MAX)) as u32))
     }
 
     /// Establishes the dispatch invariant: stale due entries are gone
@@ -418,7 +378,7 @@ impl<E> EventQueue<E> {
                 if self.wheel.is_staged_live(node, generation) {
                     break;
                 }
-                // Cancelled after staging; already ghosted by the cancel.
+                // Cancelled after staging; the cancel took the payload.
                 self.due.pop();
             }
             if self.wheel.is_empty() {
@@ -473,7 +433,7 @@ impl<E> EventQueue<E> {
             self.sift_down(0);
         }
         let event = self.slab.take(root.slot());
-        self.finish_pop(root.at, root.ord);
+        self.finish_pop(root.at);
         (root.at, event)
     }
 
@@ -490,39 +450,14 @@ impl<E> EventQueue<E> {
         }
         self.due_live -= 1;
         let event = self.slab.take((ord & u64::from(u32::MAX)) as u32);
-        self.finish_pop(at, ord);
+        self.finish_pop(at);
         (at, event)
     }
 
-    /// Advances the clock and absorbs every ghost the tombstoning engine
-    /// would have popped before dispatching this key.
-    fn finish_pop(&mut self, at: SimTime, ord: u64) {
-        while let Some(&Reverse(ghost)) = self.ghosts.peek() {
-            if ghost < (at, ord) {
-                self.ghosts.pop();
-                self.ghost_pops += 1;
-            } else {
-                break;
-            }
-        }
+    /// Advances the clock to a dispatched event and counts it.
+    fn finish_pop(&mut self, at: SimTime) {
         self.now = at;
         self.processed += 1;
-    }
-
-    /// Absorbs every ghost strictly before `horizon`, mirroring the pops
-    /// a tombstoning engine would have spent draining dead entries up to
-    /// (but excluding) that time. The run drivers call this when a run
-    /// window closes so `processed + ghost_pops` stays exactly
-    /// comparable across engines.
-    pub fn absorb_ghosts_before(&mut self, horizon: SimTime) {
-        while let Some(&Reverse((at, _))) = self.ghosts.peek() {
-            if at < horizon {
-                self.ghosts.pop();
-                self.ghost_pops += 1;
-            } else {
-                break;
-            }
-        }
     }
 
     /// The time of the earliest pending event, if any.
@@ -566,13 +501,6 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// Cancelled-timer keys absorbed at dispatch. Adding this to
-    /// [`EventQueue::processed`] reproduces the event count of the
-    /// tombstoning engine, which popped (and discarded) each dead entry.
-    pub fn ghost_pops(&self) -> u64 {
-        self.ghost_pops
-    }
-
     /// How many times a schedule call was handed a time before `now`
     /// and clamped it. A correct model never schedules into the past, so
     /// this is asserted zero by the golden-digest and chaos checks.
@@ -581,8 +509,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Scheduler counters: pending high-water mark, heap depth, entry
-    /// size, slab capacity, dispatch/ghost/cancel counts and past-time
-    /// clamps.
+    /// size, slab capacity, dispatch/cancel counts and past-time clamps.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             pending: self.len(),
@@ -594,7 +521,7 @@ impl<E> EventQueue<E> {
             past_clamps: self.past_clamps,
             timers_pending: self.wheel.len() + self.due_live,
             timer_cancels: self.timer_cancels,
-            ghost_pops: self.ghost_pops,
+            ghost_pops: 0,
             stale_timer_pops: self.stale_timer_pops,
         }
     }
@@ -606,7 +533,7 @@ impl<E> EventQueue<E> {
     /// queues that never call this pay only dead `Option` checks.
     pub fn enable_stamps(&mut self) {
         assert!(
-            self.is_empty() && self.processed == 0 && self.ghosts.is_empty(),
+            self.is_empty() && self.processed == 0,
             "enable_stamps requires a fresh queue"
         );
         self.stamp = Some(Box::new(StampState {
@@ -616,9 +543,6 @@ impl<E> EventQueue<E> {
             emit_n: 0,
             next_root: 0,
             dispatching: false,
-            ghost_due: BinaryHeap::new(),
-            ghost_stamps: Vec::new(),
-            ghost_free: Vec::new(),
             group: Vec::new(),
             group_live: 0,
         }));
@@ -736,7 +660,7 @@ impl<E> EventQueue<E> {
                     src: GroupSrc::Due { node, generation },
                 });
             }
-            // Stale (cancelled after staging): already ghosted.
+            // Stale (cancelled after staging): the cancel took the payload.
         }
         let heap_members = group
             .iter()
@@ -773,7 +697,7 @@ impl<E> EventQueue<E> {
                         self.due_live -= 1;
                     }
                     // Cancelled mid-group; cancel_timer already took the
-                    // payload, ghosted the key and adjusted `due_live`.
+                    // payload and adjusted `due_live`.
                     None => return None,
                 }
             }
@@ -787,42 +711,8 @@ impl<E> EventQueue<E> {
             st.emit_n = 0;
         }
         let event = self.slab.take(slot);
-        self.finish_pop(m.at, m.ord);
+        self.finish_pop(m.at);
         Some((m.at, event))
-    }
-
-    /// Removes and counts stamp-mode ghosts strictly before `horizon`
-    /// into [`QueueStats::ghost_pops`] — the barrier-time equivalent of
-    /// the serial engine's lazy absorption. Returns the count folded.
-    pub fn fold_stamped_ghosts_before(&mut self, horizon: SimTime) -> u64 {
-        let st = self.stamp.as_deref_mut().expect("stamp mode required");
-        let mut folded = 0u64;
-        while let Some(&Reverse((at, g))) = st.ghost_due.peek() {
-            if at >= horizon {
-                break;
-            }
-            st.ghost_due.pop();
-            st.ghost_free.push(g);
-            folded += 1;
-        }
-        self.ghost_pops += folded;
-        folded
-    }
-
-    /// Stamp-mode ghosts not yet folded (unordered). The executor counts
-    /// the qualifying tail at run end (ghost keys below the run's stop
-    /// key) and credits them via [`EventQueue::add_ghost_pops`].
-    pub fn stamped_ghosts(&self) -> impl Iterator<Item = (SimTime, Stamp)> + '_ {
-        let st = self.stamp.as_deref().expect("stamp mode required");
-        st.ghost_due
-            .iter()
-            .map(|&Reverse((at, g))| (at, st.ghost_stamps[g as usize]))
-    }
-
-    /// Credits `n` ghost pops decided outside the queue (the sharded
-    /// executor's end-of-run ghost reconciliation).
-    pub fn add_ghost_pops(&mut self, n: u64) {
-        self.ghost_pops += n;
     }
 
     /// Removes the heap's root entry without touching its slab payload.
@@ -879,36 +769,28 @@ impl<E> EventQueue<E> {
     }
 
     /// Compacts the 32-bit sequence counter by reassigning every pending
-    /// key — heap entries, wheel timers, staged timers, and ghosts — the
-    /// numbers `0..n` in their existing order.
+    /// key — heap entries, wheel timers and staged timers — the numbers
+    /// `0..n` in their existing order.
     ///
     /// Triggered once per 2³² insertions — in practice never for the
     /// workloads in this repository, but it makes the u32 tie-break safe
     /// at any run length. The reassignment is monotone in `seq`, so every
-    /// pairwise `(time, seq)` comparison (and thus pop order, heap shape
-    /// and ghost absorption) is unchanged; covered by `force_renumber`
+    /// pairwise `(time, seq)` comparison (and thus pop order and heap
+    /// shape) is unchanged; covered by `force_renumber`
     /// tests and the wheel differential oracle.
     fn renumber(&mut self) {
         #[derive(Clone, Copy)]
         enum Src {
             Heap(u32),
             Node(u32),
-            Ghost(u32),
         }
-        let mut ghosts: Vec<(SimTime, u64)> = std::mem::take(&mut self.ghosts)
-            .into_iter()
-            .map(|r| r.0)
-            .collect();
         let mut all: Vec<(u64, Src)> =
-            Vec::with_capacity(self.heap.len() + self.wheel.len() + self.due_live + ghosts.len());
+            Vec::with_capacity(self.heap.len() + self.wheel.len() + self.due_live);
         for (i, e) in self.heap.iter().enumerate() {
             all.push((e.ord, Src::Heap(i as u32)));
         }
         for (node, ord) in self.wheel.live_nodes() {
             all.push((ord, Src::Node(node)));
-        }
-        for (i, g) in ghosts.iter().enumerate() {
-            all.push((g.1, Src::Ghost(i as u32)));
         }
         // Distinct live seqs: sorting by ord sorts by insertion order.
         all.sort_unstable_by_key(|&(ord, _)| ord);
@@ -917,14 +799,12 @@ impl<E> EventQueue<E> {
             match src {
                 Src::Heap(j) => self.heap[j as usize].ord = new_ord,
                 Src::Node(node) => self.wheel.set_node_ord(node, new_ord),
-                Src::Ghost(j) => ghosts[j as usize].1 = new_ord,
             }
         }
         self.seq = u32::try_from(all.len()).expect("pending fits u32");
         // A monotone ord remap preserves every pairwise ordering, so the
-        // heap property still holds; only the derived heaps that copied
-        // ords need rebuilding.
-        self.ghosts = ghosts.into_iter().map(Reverse).collect();
+        // heap property still holds; only the due stage, which copied
+        // ords, needs rebuilding.
         let due = std::mem::take(&mut self.due);
         self.due = due
             .into_iter()
@@ -961,9 +841,7 @@ fn depth_4ary(n: usize) -> u32 {
 /// `horizon`. Returns the number of events dispatched.
 ///
 /// Events scheduled exactly at `horizon` are *not* processed, so
-/// `run_until(.., t)` covers the half-open interval `[start, t)`. Ghosts
-/// of timers cancelled before `horizon` are absorbed when the window
-/// closes (a tombstoning engine would have popped them within it).
+/// `run_until(.., t)` covers the half-open interval `[start, t)`.
 pub fn run_until<S: Simulation>(
     sim: &mut S,
     queue: &mut EventQueue<S::Event>,
@@ -978,17 +856,11 @@ pub fn run_until<S: Simulation>(
         sim.handle(now, ev, queue);
         n += 1;
     }
-    queue.absorb_ghosts_before(horizon);
     n
 }
 
 /// Runs `sim` until the queue drains or `keep_going` returns false
 /// (checked before each event). Returns the number of events dispatched.
-///
-/// Callers that compare event counts against a deadline-bounded engine
-/// should call [`EventQueue::absorb_ghosts_before`] with their own
-/// stopping time afterwards; `run_while` cannot see inside the
-/// predicate.
 pub fn run_while<S: Simulation>(
     sim: &mut S,
     queue: &mut EventQueue<S::Event>,
@@ -1285,27 +1157,35 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.timer_cancels, 50_000);
         assert!(s.max_pending <= 2);
+        assert_eq!(s.ghost_pops, 0, "a cancel keeps nothing to count");
     }
 
     #[test]
-    fn ghost_pops_reproduce_tombstone_counting() {
-        // Legacy engine: cancel = leave a dead entry that still pops.
-        // New engine: processed + ghost_pops must equal the legacy pop
-        // count for the same schedule.
+    fn stamped_rearm_storm_keeps_no_storage() {
+        // The stamp-mode twin: the same ACK-like schedule, dispatch,
+        // cancel and re-arm loop driven through the group path. A
+        // cancelled timer must leave nothing behind — no pending entry,
+        // no slab slot, nothing to reconcile at a barrier.
         let mut q = EventQueue::new();
-        let h = q.schedule_timer_at(SimTime::from_micros(1), 1);
-        q.schedule_at(SimTime::from_micros(2), 2);
-        q.cancel_timer(h); // ghost at 1 µs
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 2)));
-        assert_eq!(q.processed(), 1);
-        assert_eq!(q.ghost_pops(), 1, "ghost absorbed before the 2 µs pop");
-        // A ghost beyond the last dispatch is absorbed by the window
-        // close, exactly where the legacy drain would have popped it.
-        let h2 = q.schedule_timer_at(SimTime::from_micros(5), 3);
-        q.cancel_timer(h2);
-        assert_eq!(q.ghost_pops(), 1);
-        q.absorb_ghosts_before(SimTime::from_micros(10));
-        assert_eq!(q.ghost_pops(), 2);
+        q.enable_stamps();
+        let mut group = Vec::new();
+        let mut t = SimTime::ZERO;
+        let mut h = q.schedule_timer_at(t + SimDuration::from_millis(2), 0u64);
+        for i in 0..50_000u64 {
+            t += SimDuration::from_micros(1);
+            q.schedule_at(t, u64::MAX);
+            assert_eq!(q.begin_group(&mut group), Some(t));
+            assert_eq!(group.len(), 1);
+            assert_eq!(q.dispatch_member(group[0].0), Some((t, u64::MAX)));
+            assert_eq!(q.cancel_timer(h), Some(i));
+            h = q.schedule_timer_at(t + SimDuration::from_millis(2), i + 1);
+            assert!(q.len() <= 1, "re-arm must not tombstone");
+        }
+        let s = q.stats();
+        assert_eq!(s.timer_cancels, 50_000);
+        assert!(s.pending <= 1);
+        assert!(s.slab_capacity <= 2, "slab grew to {}", s.slab_capacity);
+        assert_eq!(s.ghost_pops, 0);
     }
 
     #[test]
@@ -1332,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn renumber_covers_timers_and_ghosts() {
+    fn renumber_covers_timers_and_cancels() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(3);
         let mut handles = Vec::new();
@@ -1344,7 +1224,7 @@ mod tests {
                 handles.push(None);
             }
         }
-        // Cancel a few timers (ghosts), then force the renumber.
+        // Cancel a few timers, then force the renumber.
         assert_eq!(q.cancel_timer(handles[4].unwrap()), Some(4));
         assert_eq!(q.cancel_timer(handles[10].unwrap()), Some(10));
         q.force_renumber();
@@ -1352,7 +1232,6 @@ mod tests {
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         let expect: Vec<i32> = (0..21).filter(|&i| i != 4 && i != 10).collect();
         assert_eq!(order, expect, "FIFO ties survive renumber across sources");
-        assert_eq!(q.ghost_pops() + q.processed(), 21, "ghosts renumbered too");
     }
 
     /// A deterministic branching workload driven identically through the
@@ -1423,7 +1302,6 @@ mod tests {
         while let Some((now, id)) = qs.pop() {
             serial.on_event(now, id, &mut qs);
         }
-        qs.absorb_ghosts_before(SimTime::from_nanos(u64::MAX));
 
         // Stamp-mode group dispatch of the same workload.
         let mut grouped = Branchy::new(4000);
@@ -1440,12 +1318,10 @@ mod tests {
                 }
             }
         }
-        qg.fold_stamped_ghosts_before(SimTime::from_nanos(u64::MAX));
 
         assert!(serial.order.len() > 1000, "workload actually branched");
         assert_eq!(grouped.order, serial.order, "dispatch order diverged");
         assert_eq!(qg.processed(), qs.processed());
-        assert_eq!(qg.ghost_pops(), qs.ghost_pops(), "ghost accounting");
         assert_eq!(qg.stats().timer_cancels, qs.stats().timer_cancels);
         assert_eq!(qg.stats().stale_timer_pops, 0);
         assert_eq!(qg.len(), 0);
@@ -1475,8 +1351,8 @@ mod tests {
     fn mid_group_cancel_skips_member() {
         // An event and a timer share t=10; the event (earlier stamp)
         // cancels the timer from inside the group. The timer member must
-        // dispatch as None, its ghost logged, exactly one event
-        // processed — matching what the serial engine would do.
+        // dispatch as None with exactly one event processed — matching
+        // what the serial engine would do.
         let mut q = EventQueue::new();
         q.enable_stamps();
         q.schedule_at(SimTime::from_nanos(10), 1u64);
@@ -1498,9 +1374,7 @@ mod tests {
         }
         assert_eq!(seen, vec![1, 0], "timer skipped after mid-group cancel");
         assert_eq!(q.processed(), 1);
-        assert_eq!(q.stamped_ghosts().count(), 1);
-        assert_eq!(q.fold_stamped_ghosts_before(SimTime::from_nanos(11)), 1);
-        assert_eq!(q.ghost_pops(), 1);
+        assert_eq!(q.stats().ghost_pops, 0);
         assert_eq!(q.len(), 0);
     }
 
@@ -1523,28 +1397,5 @@ mod tests {
             .filter_map(|&(i, _)| q.dispatch_member(i).map(|(_, e)| e))
             .collect();
         assert_eq!(order, vec!["early", "late"]);
-    }
-
-    #[test]
-    fn run_until_absorbs_ghosts_in_window() {
-        struct Noop;
-        impl Simulation for Noop {
-            type Event = u8;
-            fn handle(&mut self, _: SimTime, _: u8, _: &mut EventQueue<u8>) {}
-        }
-        let mut q = EventQueue::new();
-        let h = q.schedule_timer_at(SimTime::from_micros(50), 1);
-        q.cancel_timer(h);
-        // Nothing dispatches, but the ghost lies inside the window: a
-        // tombstoning engine would have popped it.
-        let n = run_until(&mut Noop, &mut q, SimTime::from_millis(1));
-        assert_eq!(n, 0);
-        assert_eq!(q.ghost_pops(), 1);
-        // Ghost at/after the horizon stays (legacy would not have
-        // popped it inside this window either).
-        let h2 = q.schedule_timer_at(SimTime::from_millis(2), 2);
-        q.cancel_timer(h2);
-        run_until(&mut Noop, &mut q, SimTime::from_millis(2));
-        assert_eq!(q.ghost_pops(), 1);
     }
 }

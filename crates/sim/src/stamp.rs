@@ -47,8 +47,8 @@
 //! the serial order) and are counted so tests can assert the fallback
 //! never fired.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
 
@@ -58,14 +58,19 @@ use crate::time::SimTime;
 /// admission-time *regimes* before the comparison goes ambiguous.
 pub const STAMP_DEPTH: usize = 8;
 
-/// Ambiguous stamp comparisons (truncated chains that could not be
-/// ordered exactly) across the process. Exposed per run through shard
-/// statistics; asserted zero by the determinism tests.
-static AMBIGUOUS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Ambiguous stamp comparisons (truncated chains that could not be
+    /// ordered exactly) made on this thread. Per thread, so concurrent
+    /// runs in one process never add to each other's counts; exposed
+    /// per run through shard statistics and asserted zero by the
+    /// determinism tests.
+    static AMBIGUOUS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total ambiguous stamp comparisons observed process-wide so far.
+/// Ambiguous stamp comparisons made on the calling thread so far. A run
+/// measures its own count as the difference across the code it ran.
 pub fn ambiguous_comparisons() -> u64 {
-    AMBIGUOUS.load(AtomicOrdering::Relaxed)
+    AMBIGUOUS.with(Cell::get)
 }
 
 /// One run of admission levels: `n` consecutive admissions with the
@@ -406,7 +411,7 @@ fn skip_rootmost(s: &Stamp, mut skip: u32) -> (usize, u32) {
 /// order.
 #[cold]
 fn ambiguous(a: &Stamp, b: &Stamp) -> Ordering {
-    AMBIGUOUS.fetch_add(1, AtomicOrdering::Relaxed);
+    AMBIGUOUS.with(|n| n.set(n.get() + 1));
     if std::env::var_os("STAMP_DEBUG").is_some() {
         eprintln!("AMBIG a={a:?}\n      b={b:?}");
     }
@@ -430,7 +435,7 @@ fn fnv_fold(mut h: u64, x: u64) -> u64 {
 /// of the serial engine's `(time, seq)`.
 #[derive(Debug, Clone, Copy)]
 pub struct StampKey {
-    /// The event's fire (or ghost) time.
+    /// The event's fire time.
     pub at: SimTime,
     /// Its admission stamp.
     pub stamp: Stamp,
@@ -579,12 +584,10 @@ mod tests {
         assert_eq!(ambiguous_comparisons(), before);
     }
 
-    #[test]
-    fn diverged_dropped_histories_are_counted_ambiguous() {
-        // Alternating emission indices defeat run compression (one run
-        // per generation), so deep chains truncate; a divergence buried
-        // in the dropped region is unrecoverable, and the comparison
-        // must fall back to hash order and count itself.
+    /// Two deep chains whose only divergence lies in their truncated
+    /// history. Alternating emission indices defeat run compression (one
+    /// run per generation), so the chains truncate.
+    fn diverged_truncated_pair() -> (Stamp, Stamp) {
         let mut a = Stamp::root(0).child(t(5), 0);
         let mut b = Stamp::root(0).child(t(6), 0);
         for gen in 1..=(2 * STAMP_DEPTH as u64) {
@@ -592,11 +595,35 @@ mod tests {
             b = b.child(t(100 + gen * 10), 1 + (gen as u32 % 2));
         }
         assert!(a.truncated && b.truncated, "alternating k defeats runs");
+        (a, b)
+    }
+
+    #[test]
+    fn diverged_dropped_histories_are_counted_ambiguous() {
+        // A divergence buried in the dropped region is unrecoverable, so
+        // the comparison must fall back to hash order and count itself.
+        let (a, b) = diverged_truncated_pair();
         let before = ambiguous_comparisons();
         let ord = a.order(&b);
         assert_ne!(ord, Ordering::Equal);
         assert_eq!(b.order(&a), ord.reverse(), "still antisymmetric");
         assert_eq!(ambiguous_comparisons(), before + 2);
+    }
+
+    #[test]
+    fn ambiguity_counter_is_per_thread() {
+        // Comparisons on another thread (a concurrent run, a parallel
+        // test) must not reach this thread's count.
+        let (a, b) = diverged_truncated_pair();
+        let before = ambiguous_comparisons();
+        let other = std::thread::spawn(move || {
+            a.order(&b);
+            ambiguous_comparisons()
+        })
+        .join()
+        .expect("comparison thread");
+        assert_eq!(other, 1, "counted on the thread that compared");
+        assert_eq!(ambiguous_comparisons(), before);
     }
 
     #[test]

@@ -87,11 +87,12 @@ struct Node {
 pub(crate) enum Cancelled {
     /// Handle was stale (already fired, cancelled, or re-armed).
     Invalid,
-    /// Timer was still filed in the wheel; its dispatch key is returned.
-    Filed { at: SimTime, ord: u64 },
+    /// Timer was still filed in the wheel; its packed `(seq, slot)` key
+    /// is returned.
+    Filed { ord: u64 },
     /// Timer had already been staged into the due heap; the stale due
     /// entry will be skipped at pop via the generation check.
-    Staged { at: SimTime, ord: u64 },
+    Staged { ord: u64 },
 }
 
 /// The hierarchical wheel. Owns timer nodes; payloads stay in the
@@ -180,10 +181,10 @@ impl Wheel {
         if node.generation != h.generation || node.home == HOME_FREE {
             return Cancelled::Invalid;
         }
-        let (at, ord, home) = (node.at, node.ord, node.home);
+        let (ord, home) = (node.ord, node.home);
         if home == HOME_DUE {
             self.release(h.node);
-            return Cancelled::Staged { at, ord };
+            return Cancelled::Staged { ord };
         }
         self.unlink(h.node, home);
         self.len -= 1;
@@ -191,7 +192,7 @@ impl Wheel {
             self.bound = SimTime::MAX;
         }
         self.release(h.node);
-        Cancelled::Filed { at, ord }
+        Cancelled::Filed { ord }
     }
 
     /// Whether a due-heap entry `(node, generation)` still refers to a

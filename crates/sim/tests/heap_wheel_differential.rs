@@ -5,13 +5,11 @@
 //! random interleavings.
 //!
 //! The reference models cancellation the way the old engine did: the
-//! dead entry stays in the heap and is popped (and discarded) when its
-//! `(time, seq)` key surfaces. The wheel engine instead absorbs a
-//! "ghost" per cancelled key at dispatch, so after every live pop the
-//! two engines must agree not only on the popped event but on the
-//! cumulative dead-pop count (`ghost_pops`). That equality is what
-//! keeps `events_processed` — and therefore the golden digests —
-//! byte-identical across the engine swap.
+//! dead entry stays in the heap and is skipped when its `(time, seq)`
+//! key surfaces. The wheel engine removes a cancelled timer outright,
+//! so the two must agree on every live pop and on the live-pop count,
+//! and every scheduled entry must end up either dispatched or
+//! cancelled.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -20,13 +18,13 @@ use dcn_sim::{EventQueue, SimRng, SimTime, TimerHandle};
 
 /// The pre-wheel engine, kept as the oracle: a max-`BinaryHeap` of
 /// reverse-ordered `(time, seq)` entries where cancellation tombstones
-/// the value and the dead entry is popped lazily.
+/// the value and the dead entry is skipped lazily.
 struct ReferenceQueue {
     heap: BinaryHeap<Scheduled>,
     tombstones: HashSet<u64>,
     seq: u64,
     now: SimTime,
-    dead_pops: u64,
+    live_pops: u64,
 }
 
 struct Scheduled {
@@ -66,7 +64,7 @@ impl ReferenceQueue {
             tombstones: HashSet::new(),
             seq: 0,
             now: SimTime::ZERO,
-            dead_pops: 0,
+            live_pops: 0,
         }
     }
 
@@ -88,40 +86,19 @@ impl ReferenceQueue {
         self.tombstones.insert(value);
     }
 
-    /// Pops the next *live* entry, spending a dead pop on every
-    /// tombstoned entry passed on the way. When only dead entries
-    /// remain they are left queued — the wheel engine likewise absorbs
-    /// a cancelled key only when a live dispatch passes it (trailing
-    /// ghosts wait for the window-close absorb).
+    /// Pops the next *live* entry, skipping (and not counting) every
+    /// tombstoned entry passed on the way. The clock moves only on live
+    /// pops, like the real queue's.
     fn pop(&mut self) -> Option<(SimTime, u64)> {
-        if !self
-            .heap
-            .iter()
-            .any(|s| !self.tombstones.contains(&s.value))
-        {
-            return None;
-        }
         while let Some(s) = self.heap.pop() {
-            self.now = s.at;
             if self.tombstones.remove(&s.value) {
-                self.dead_pops += 1;
                 continue;
             }
+            self.now = s.at;
+            self.live_pops += 1;
             return Some((s.at, s.value));
         }
-        unreachable!("a live entry was present");
-    }
-
-    /// Window close: spends the dead pops of everything still queued,
-    /// mirroring [`EventQueue::absorb_ghosts_before`] at the horizon.
-    fn drain_dead(&mut self) {
-        while let Some(s) = self.heap.pop() {
-            assert!(
-                self.tombstones.remove(&s.value),
-                "only dead entries remain after a live drain"
-            );
-            self.dead_pops += 1;
-        }
+        None
     }
 }
 
@@ -195,7 +172,7 @@ impl Harness {
     }
 
     /// Pops one event from both engines and asserts full agreement:
-    /// payload, time, and cumulative dead-pop accounting.
+    /// payload, time, and the cumulative live-pop count.
     fn pop_both(&mut self, context: &str) -> Option<(SimTime, u64)> {
         let a = self.real.pop();
         let b = self.oracle.pop();
@@ -205,32 +182,25 @@ impl Harness {
             self.armed.retain(|t| t.value != v);
         }
         assert_eq!(
-            self.real.ghost_pops(),
-            self.oracle.dead_pops,
-            "ghost accounting diverged ({context})"
+            self.real.processed(),
+            self.oracle.live_pops,
+            "live-pop count diverged ({context})"
         );
         a
     }
 
-    /// Drains both queues, then absorbs the ghosts of cancellations
-    /// later than the last live event — the run-window close the fabric
-    /// drivers perform — and asserts the engines spent the same total
-    /// event budget.
+    /// Drains both queues and asserts every scheduled entry left the
+    /// real queue exactly once: dispatched or cancelled, nothing kept.
     fn drain_and_reconcile(&mut self, context: &str) {
         while self.pop_both(context).is_some() {}
-        self.real
-            .absorb_ghosts_before(SimTime::from_nanos(u64::MAX));
-        self.oracle.drain_dead();
+        assert!(self.real.is_empty(), "({context})");
+        let s = self.real.stats();
         assert_eq!(
-            self.real.ghost_pops(),
-            self.oracle.dead_pops,
-            "window-close ghost absorption must cover every cancel ({context})"
-        );
-        assert_eq!(
-            self.real.processed() + self.real.ghost_pops(),
+            s.processed + s.timer_cancels,
             self.oracle.seq,
-            "total event budget must match the tombstoning engine ({context})"
+            "every entry is dispatched or cancelled ({context})"
         );
+        assert_eq!(s.ghost_pops, 0, "({context})");
         assert_eq!(self.real.stats().stale_timer_pops, 0, "({context})");
         assert_eq!(self.real.past_clamps(), 0, "({context})");
     }
@@ -321,9 +291,9 @@ fn wheel_differential_cross_window_cascades_64_seeds() {
 
 #[test]
 fn wheel_differential_survives_renumber() {
-    // The u32-seq compaction renumbers heap entries, filed and staged
-    // timers, and ghosts in one monotone pass; pop order and ghost
-    // accounting must be unaffected even mid-storm.
+    // The u32-seq compaction renumbers heap entries and filed and
+    // staged timers in one monotone pass; pop order and the live-pop
+    // count must be unaffected even mid-storm.
     for seed in 0..16 {
         let mut rng = SimRng::seed_from_u64(0x0EE4_0000 + seed);
         let mut h = Harness::new();

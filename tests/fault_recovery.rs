@@ -381,7 +381,7 @@ fn zero_fault_schedule_matches_golden_digest() {
             r.events_processed,
             r.unfinished_flows,
         ),
-        (17, 24_797_131, 10, 286, 387_544, 0),
+        (17, 24_797_131, 10, 286, 363_746, 0),
         "an empty FaultSchedule must be byte-identical to no fault support"
     );
 }

@@ -1,14 +1,15 @@
 //! Golden-digest regression suite: the eviction hook added for Occamy
 //! must be *free* for every other policy — zero extra events, zero
-//! extra RNG draws, byte-identical results. These tests pin the exact
-//! event counts and `RunResults` digests captured before the hook
-//! existed (the same goldens `dcn-bench --bin throughput -- --check`
-//! asserts in release CI).
+//! extra RNG draws, byte-identical results. These tests pin the event
+//! counts, `RunResults` digests and behavior digests of
+//! [`dcn_experiments::goldens`], the same table
+//! `dcn-bench --bin throughput -- --check` asserts in release CI.
 //!
 //! The two small-scale scenarios run in the plain tier-1 suite; the
-//! paper-scale scenario (~7.5M events) is `#[ignore]`d for debug runs
+//! paper-scale scenario (~7M events) is `#[ignore]`d for debug runs
 //! and exercised by the release-mode CI check instead.
 
+use dcn_experiments::goldens::{HYBRID_PAPER_2MS, HYBRID_SMALL, INCAST_SMALL};
 use dcn_experiments::{run_hybrid, run_incast, ExperimentScale, HybridConfig, IncastConfig};
 use dcn_fabric::PolicyChoice;
 use dcn_sim::SimDuration;
@@ -21,8 +22,7 @@ fn hybrid_small_golden_digest_is_unchanged() {
         rdma_load: 0.4,
         tcp_load: 0.8,
     });
-    assert_eq!(p.results.events_processed, 930_146, "event count drifted");
-    assert_eq!(p.results.digest(), 0x972d_5f4e_f9da_3109, "digest drifted");
+    HYBRID_SMALL.verify_results(&p.results).unwrap();
     assert_eq!(p.results.drops.evicted_packets, 0, "no policy evicts here");
     assert_eq!(p.results.rdma_stranded, 0, "no DCQCN sender may strand");
 }
@@ -34,14 +34,13 @@ fn incast_small_golden_digest_is_unchanged() {
         PolicyChoice::l2bm(),
         5,
     ));
-    assert_eq!(p.results.events_processed, 857_321, "event count drifted");
-    assert_eq!(p.results.digest(), 0xfc40_bd96_0ecc_5a10, "digest drifted");
+    INCAST_SMALL.verify_results(&p.results).unwrap();
     assert_eq!(p.results.drops.evicted_packets, 0, "no policy evicts here");
     assert_eq!(p.results.rdma_stranded, 0, "no DCQCN sender may strand");
 }
 
 #[test]
-#[ignore = "paper scale (~7.5M events); run with --include-ignored in release"]
+#[ignore = "paper scale (~7M events); run with --include-ignored in release"]
 fn hybrid_paper_golden_digest_is_unchanged() {
     let p = run_hybrid(&HybridConfig {
         scale: ExperimentScale::paper().with_window(SimDuration::from_millis(2)),
@@ -49,7 +48,6 @@ fn hybrid_paper_golden_digest_is_unchanged() {
         rdma_load: 0.4,
         tcp_load: 0.8,
     });
-    assert_eq!(p.results.events_processed, 7_464_811, "event count drifted");
-    assert_eq!(p.results.digest(), 0x07ab_b15b_a35b_844d, "digest drifted");
+    HYBRID_PAPER_2MS.verify_results(&p.results).unwrap();
     assert_eq!(p.results.rdma_stranded, 0, "no DCQCN sender may strand");
 }
